@@ -34,12 +34,11 @@ import (
 	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/cluster"
+	"repro/internal/bench/load"
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/mat"
 	"repro/internal/parallel"
-	"repro/internal/server"
 	"repro/internal/telemetry"
 )
 
@@ -215,68 +214,40 @@ func main() {
 			}
 			return nil
 		})
-	case "concurrent":
-		ccfg := bench.ConcurrentConfig{
-			Size:           sz,
-			Clients:        *clients,
-			Async:          *async,
-			Workers:        *workers,
-			CallsPerClient: *calls,
-			Benchmarks:     cfg.Benchmarks,
-			Out:            os.Stdout,
-			Fuse:           *fuse,
-			Threads:        *threads,
+	case "concurrent", "cluster", "server":
+		lcfg := load.Config{
+			Size:          sz,
+			Benchmarks:    cfg.Benchmarks,
+			Clients:       *clients,
+			Sessions:      *sessions,
+			Calls:         *calls,
+			Nodes:         *nodes,
+			Addr:          *addr,
+			RepoPath:      *repoPath,
+			Async:         *async,
+			Workers:       *workers,
+			Fuse:          *fuse,
+			Threads:       *threads,
+			Tiered:        *tiered,
+			TierThreshold: *tierThreshold,
+			Out:           os.Stdout,
 		}
-		run("concurrent", ccfg.Report)
-	case "cluster":
-		kcfg := cluster.BenchConfig{
-			Size:              sz,
-			Nodes:             *nodes,
-			Clients:           *clients,
-			SessionsPerClient: *sessions,
-			CallsPerSession:   *calls,
-			Benchmarks:        cfg.Benchmarks,
-			Out:               os.Stdout,
-			Async:             *async,
-			Workers:           *workers,
-			Threads:           *threads,
-		}
-		run("cluster", func() error {
-			rep, err := kcfg.Report()
-			if err != nil {
+		run(*exp, func() error {
+			var rep any
+			var err error
+			switch *exp {
+			case "concurrent":
+				_, err = lcfg.Concurrent()
+				return err
+			case "cluster":
+				rep, err = lcfg.Cluster()
+			default:
+				rep, err = lcfg.Server()
+			}
+			if err != nil || !*jsonOut {
 				return err
 			}
-			if *jsonOut {
-				return writeJSONFile("BENCH_cluster.json", rep)
-			}
-			return nil
-		})
-	case "server":
-		lcfg := server.LoadConfig{
-			Size:              sz,
-			Clients:           *clients,
-			SessionsPerClient: *sessions,
-			CallsPerSession:   *calls,
-			Benchmarks:        cfg.Benchmarks,
-			Addr:              *addr,
-			RepoPath:          *repoPath,
-			Out:               os.Stdout,
-			Async:             *async,
-			Workers:           *workers,
-			Fuse:              *fuse,
-			Threads:           *threads,
-			Tiered:            *tiered,
-			TierThreshold:     *tierThreshold,
-		}
-		run("server", func() error {
-			rep, err := lcfg.Report()
-			if err != nil {
-				return err
-			}
-			if *jsonOut {
-				return writeJSONFile("BENCH_server.json", rep)
-			}
-			return nil
+			return writeJSONFile("BENCH_"+*exp+".json", rep)
 		})
 	case "all":
 		run("table1", cfg.Table1)

@@ -14,6 +14,41 @@ import (
 	"repro/internal/mat"
 )
 
+// ConcurrentSet lists the Table 1 benchmarks the load driver replays by
+// default: deterministic, argument-taking programs with no globals and
+// no output, so concurrent invocations are independent.
+var ConcurrentSet = []string{"fibonacci", "adapt", "cgopt", "sor", "qmr"}
+
+// SameValues reports bit-for-bit equality of two result lists: equal
+// shapes and kinds, and equal IEEE-754 bits in every real and imaginary
+// element, so NaN matches itself and -0 does not match +0. Identical
+// code on identical deterministic arguments must agree this exactly.
+func SameValues(a, b []*mat.Value) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if x.Rows() != y.Rows() || x.Cols() != y.Cols() || x.Kind() != y.Kind() ||
+			!sameBits(x.Re(), y.Re()) || !sameBits(x.Im(), y.Im()) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if math.Float64bits(a[k]) != math.Float64bits(b[k]) {
+			return false
+		}
+	}
+	return true
+}
+
 // Size selects a problem-size preset.
 type Size int
 

@@ -116,3 +116,30 @@ func close(a, b float64) bool {
 	}
 	return math.Abs(a-b) <= 1e-6*(1+math.Max(math.Abs(a), math.Abs(b)))
 }
+
+// TestSameValuesBitExact pins SameValues to IEEE-754 bit equality:
+// imaginary parts count, the sign of zero counts, and NaN equals NaN.
+func TestSameValuesBitExact(t *testing.T) {
+	one := func(v *mat.Value) []*mat.Value { return []*mat.Value{v} }
+	negZero := math.Copysign(0, -1)
+	for _, tc := range []struct {
+		name string
+		a, b *mat.Value
+		want bool
+	}{
+		{"equal", mat.Scalar(1.5), mat.Scalar(1.5), true},
+		{"nan matches nan", mat.Scalar(math.NaN()), mat.Scalar(math.NaN()), true},
+		{"differ only in Im", mat.ComplexScalar(1 + 2i), mat.ComplexScalar(1 + 3i), false},
+		{"differ only in sign of zero", mat.Scalar(0), mat.Scalar(negZero), false},
+		{"differ only in sign of zero Im", mat.ComplexScalar(complex(1, 0)), mat.ComplexScalar(complex(1, negZero)), false},
+		{"real vs complex", mat.Scalar(1), mat.ComplexScalar(1), false},
+		{"shape", mat.FromColMajor(mat.Real, 1, 2, []float64{1, 2}, nil), mat.FromColMajor(mat.Real, 2, 1, []float64{1, 2}, nil), false},
+	} {
+		if got := bench.SameValues(one(tc.a), one(tc.b)); got != tc.want {
+			t.Errorf("%s: SameValues = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	if bench.SameValues(one(mat.Scalar(1)), nil) {
+		t.Error("lists of different length compared equal")
+	}
+}

@@ -337,7 +337,7 @@ func (c SparseConfig) runSolver(solver, operator, src, fn string, iters, n int, 
 		}
 		if res == nil {
 			res = outs[0]
-		} else if !sameValues([]*mat.Value{res}, outs[:1]) {
+		} else if !SameValues([]*mat.Value{res}, outs[:1]) {
 			return row, fmt.Errorf("repetition %d diverged", r)
 		}
 		if best == 0 || el < best {
@@ -404,7 +404,7 @@ func (c SparseConfig) spmvCompare(n int) (SpMVRow, error) {
 		dre[i] = acc
 	}
 	row.DensifiedUS = time.Since(t0).Microseconds()
-	row.Match = sameValues([]*mat.Value{sp}, []*mat.Value{dense})
+	row.Match = SameValues([]*mat.Value{sp}, []*mat.Value{dense})
 	if row.SparseUS > 0 {
 		row.Speedup = float64(row.DensifiedUS) / float64(row.SparseUS)
 	}

@@ -9,7 +9,7 @@
 //
 // The pool knows nothing about compilation itself — jobs are opaque
 // closures — so it is reusable for speculative ahead-of-time jobs,
-// JIT-miss jobs, and hot-entry recompilation upgrades alike.
+// JIT-miss jobs, and tiered promotions alike.
 package compilequeue
 
 import (

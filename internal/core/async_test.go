@@ -293,37 +293,6 @@ func TestAsyncUnsupportedFallsBackToInterp(t *testing.T) {
 	}
 }
 
-// TestAsyncRecompileUpgrade: the hot-entry upgrade path works through
-// the worker pool and replaces (not mutates) the published entry.
-func TestAsyncRecompileUpgrade(t *testing.T) {
-	e := New(Options{Tier: TierJIT, AsyncCompile: true, RecompileThreshold: 5, Seed: 3})
-	defer e.Close()
-	if err := e.Define(asyncWorkSrc); err != nil {
-		t.Fatal(err)
-	}
-	want := asyncWorkWant(500)
-	arg := []*mat.Value{mat.Scalar(500)}
-	for call := 1; call <= 10; call++ {
-		outs, err := e.Call("work", arg, 1)
-		if err != nil {
-			t.Fatalf("call %d: %v", call, err)
-		}
-		if got := outs[0].MustScalar(); got != want {
-			t.Fatalf("call %d: %g, want %g", call, got, want)
-		}
-	}
-	e.Drain()
-	upgraded := false
-	for _, en := range e.Repo().Entries("work") {
-		if en.Quality == repo.QualityOpt {
-			upgraded = true
-		}
-	}
-	if !upgraded {
-		t.Error("hot entry was never upgraded through the async pool")
-	}
-}
-
 // TestCloseThenCallStaysUsable: after Close the engine compiles inline.
 func TestCloseThenCallStaysUsable(t *testing.T) {
 	e := New(Options{Tier: TierJIT, AsyncCompile: true, Seed: 2})

@@ -149,14 +149,6 @@ type Options struct {
 	// becomes measurable.
 	JITBackendOpts bool
 
-	// RecompileThreshold enables the repository's upgrade path ("the
-	// generated code can later be recompiled — and replaced in the
-	// repository — using a better compiler"): once a JIT-compiled entry
-	// has served this many calls, it is recompiled with the optimizing
-	// backend and the better version takes over. 0 disables upgrades
-	// (the default, so the harness's JIT measurements stay pure).
-	RecompileThreshold int
-
 	// Tiered enables profile-guided tiered recompilation for TierJIT:
 	// function calls start in the interpreter (first-eval latency stays
 	// interpreter-fast), cheap counters at call entries and loop

@@ -106,7 +106,6 @@ func (r *repoState) invoke(fn *ast.Function, args []*mat.Value, nout int) ([]*ma
 	}
 	sig := types.SignatureOf(args)
 	if entry := r.r.Lookup(fn.Name, sig); entry != nil {
-		r.maybeUpgrade(fn, entry)
 		return r.runEntry(entry, fn, args, nout)
 	}
 
@@ -388,50 +387,6 @@ func (r *repoState) maybePromote(name string, sp *profile.SigProfile, gen uint64
 	} else {
 		job()
 	}
-}
-
-// maybeUpgrade recompiles a hot JIT entry with the optimizing backend,
-// replacing the entry in the repository so every later lookup runs the
-// better version (paper §2: "The generated code can later be
-// recompiled (and replaced in the repository) using a better
-// compiler"). The published entry is never mutated in place — a
-// replacement entry is swapped in via Replace, which keeps concurrent
-// executors of the old code safe and refuses to resurrect invalidated
-// functions. In async mode the upgrade compiles on the worker pool.
-func (r *repoState) maybeUpgrade(fn *ast.Function, entry *repo.Entry) {
-	threshold := r.e.opts.RecompileThreshold
-	if threshold <= 0 || entry.Quality != repo.QualityJIT || entry.Hits() < int64(threshold) {
-		return
-	}
-	name := fn.Name
-	if r.e.lib.queue != nil {
-		gen := r.r.Generation(name)
-		key := fmt.Sprintf("up\x00%s\x00%s\x00%d", name, entry.Sig.Key(), gen)
-		r.e.lib.queue.Do(key, func() error {
-			r.upgrade(name, entry)
-			return nil
-		})
-		return
-	}
-	r.upgrade(name, entry)
-}
-
-func (r *repoState) upgrade(name string, entry *repo.Entry) {
-	fn := r.e.LookupFunction(name)
-	if fn == nil {
-		return
-	}
-	repl := &repo.Entry{Sig: entry.Sig, Quality: repo.QualityOpt, Speculative: entry.Speculative}
-	code, err := r.e.compile(fn, entry.Sig, pipelineOpts{optimize: true})
-	if err != nil {
-		// Upgrade failure is harmless; keep the JIT code and stop trying
-		// (the replacement carries QualityOpt so the threshold check
-		// never fires again for this entry).
-		repl.Code = entry.Code
-	} else {
-		repl.Code = code
-	}
-	r.r.Replace(name, entry, repl)
 }
 
 // widen relaxes ranges (and, where bounds differ across calls, shapes

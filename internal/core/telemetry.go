@@ -37,7 +37,6 @@ func EmitLibrarySamples(emit func(telemetry.Sample), rs repo.Stats, qs compilequ
 	counter(emit, "majic_repo_invalidations_total", "Function redefinitions that dropped entries.", float64(rs.Invalidation))
 	counter(emit, "majic_repo_stale_drops_total", "Async publishes dropped by a generation mismatch.", float64(rs.StaleDrops))
 	counter(emit, "majic_repo_evictions_total", "Entries evicted by the per-function cap.", float64(rs.Evictions))
-	counter(emit, "majic_repo_replaces_total", "Upgrade swaps (tier-ups and hot recompiles).", float64(rs.Replaces))
 	counter(emit, "majic_repo_loaded_total", "Entries restored from a warm-start snapshot.", float64(rs.Loaded))
 	counter(emit, "majic_repo_replicated_total", "Entries applied from cluster peers (never compiled here).", float64(rs.Replicated))
 	counter(emit, "majic_repo_replicated_drops_total", "Replicated applies dropped by the duplicate or generation guard.", float64(rs.ReplicatedDrops))

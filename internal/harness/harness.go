@@ -170,8 +170,8 @@ func (c Config) MeasureTier(b *bench.Benchmark, opts core.Options) (time.Duratio
 	return best, nil
 }
 
-// TierStats bundles the per-tier compile and upgrade counters for one
-// tiered measurement: repository traffic (inserts, replaces, hits),
+// TierStats bundles the per-tier compile and promotion counters for one
+// tiered measurement: repository traffic (inserts, hits),
 // background-queue traffic, and the profile/OSR counters.
 type TierStats struct {
 	Repo    repo.Stats         `json:"repo"`
@@ -308,17 +308,17 @@ func PrintSpeedups(w io.Writer, title string, rows []Speedup) {
 	if len(rows) > 0 && rows[0].Tiered != nil {
 		fmt.Fprintln(w)
 		fmt.Fprintln(w, "tiered arm (profile-guided recompilation; first call unwarmed, steady after promotion):")
-		fmt.Fprintf(w, "%-10s %12s %12s %9s %7s %7s %7s %7s\n",
-			"benchmark", "first", "steady", "speedup", "promo", "osr", "deopt", "repl")
+		fmt.Fprintf(w, "%-10s %12s %12s %9s %7s %7s %7s\n",
+			"benchmark", "first", "steady", "speedup", "promo", "osr", "deopt")
 		for _, r := range rows {
 			tr := r.Tiered
 			if tr == nil {
 				continue
 			}
-			fmt.Fprintf(w, "%-10s %12s %12s %8.2fx %7d %7d %7d %7d\n",
+			fmt.Fprintf(w, "%-10s %12s %12s %8.2fx %7d %7d %7d\n",
 				r.Bench, tr.First.Round(time.Microsecond), tr.Steady.Round(time.Microsecond),
 				tr.Speedup, tr.Stats.Profile.Promotions, tr.Stats.Profile.OSRTransfers,
-				tr.Stats.Profile.OSRDeopts, tr.Stats.Repo.Replaces)
+				tr.Stats.Profile.OSRDeopts)
 		}
 	}
 	fmt.Fprintln(w)

@@ -86,6 +86,9 @@ func (in *inliner) analyze(name string) *calleeInfo {
 	if !clean {
 		return ci
 	}
+	// Disambiguation annotates the AST it analyzes, and fn is the
+	// library's shared definition, which concurrent compiles clone.
+	fn = ast.CloneFunction(fn)
 	g := cfg.Build(fn.Body)
 	tbl := disambig.Analyze(g, fn.Ins, disambig.ResolverFunc(func(nm string) bool {
 		return in.res.LookupFunction(nm) != nil

@@ -4,15 +4,16 @@
 // (every actual type a subtype of the assumed type) that is optimal
 // performance-wise, ranking safe candidates by a Manhattan-like
 // distance between signatures. Misses trigger JIT compilation; the
-// repository also hosts speculatively compiled entries and re-compiled
-// (better-optimized) replacements.
+// repository also hosts speculatively compiled entries and the
+// better-optimized recompilations that tiered promotion publishes beside
+// them.
 //
 // Concurrency contract: the repository is safe for concurrent use. An
 // *Entry is immutable once published except for its hit counter, which
 // is maintained atomically, so entries handed out by Lookup/Entries can
-// be read (and their code executed) from any goroutine. Upgrades never
-// mutate a published entry's code in place — they swap in a replacement
-// entry via Replace. Each function name carries a generation counter,
+// be read (and their code executed) from any goroutine. Tier-ups never
+// mutate a published entry's code in place — they publish a new entry.
+// Each function name carries a generation counter,
 // bumped by Invalidate; asynchronous compile jobs capture the
 // generation at enqueue time and publish through InsertAt, which drops
 // the result if the generation moved (a stale job must not resurrect
@@ -30,8 +31,8 @@ import (
 )
 
 // Quality grades how optimized an entry is; the locator prefers closer
-// signatures first and higher quality second, and the engine may
-// replace an entry with a higher-quality recompilation.
+// signatures first and higher quality second, so a higher-quality
+// recompilation of a signature takes over from the entry it improves on.
 type Quality uint8
 
 const (
@@ -81,7 +82,6 @@ type Stats struct {
 	Invalidation int `json:"invalidations"`
 	StaleDrops   int `json:"stale_drops"` // async publishes dropped by a generation mismatch
 	Evictions    int `json:"evictions"`   // entries evicted by the per-function cap
-	Replaces     int `json:"replaces"`    // upgrade swaps (tier-ups and hot recompiles)
 	Loaded       int `json:"loaded"`      // entries restored from a warm-start snapshot (not Inserts)
 	// Replicated counts entries applied from cluster peers — code this
 	// node serves but never compiled, distinct from both Inserts (local
@@ -107,7 +107,7 @@ type Repository struct {
 	maxPerFunc int
 	// onChange callbacks are invoked (outside the repository lock) after
 	// every mutation that changes what a snapshot of the repository
-	// would contain: inserts, replaces, and invalidations. The
+	// would contain: inserts and invalidations. The
 	// persistence layer hooks its write-behind snapshotter here; the
 	// cluster replicator hooks its push loop.
 	onChange []func()
@@ -191,7 +191,7 @@ func (r *Repository) Entries(name string) []*Entry {
 }
 
 // SetOnChange registers the snapshot-dirtying callback, invoked after
-// every insert, replace, and invalidation (outside the repository
+// every insert and invalidation (outside the repository
 // lock, so the callback may call Entries/Stats/FunctionNames),
 // replacing any callbacks registered so far. Set it before the
 // repository sees concurrent traffic — the warm-start sequence
@@ -412,30 +412,6 @@ func (r *Repository) evictLocked(name string, keep *Entry) {
 		Gen:    r.gens[name],
 		Detail: fmt.Sprintf("quality=%s hits=%d", v.Quality, v.Hits()),
 	})
-}
-
-// Replace swaps a published entry for its recompiled upgrade, carrying
-// the hit count over. It returns false if old is no longer present
-// (the function was invalidated while the upgrade compiled), in which
-// case the new entry is dropped — replacement must never resurrect an
-// entry for stale source. Replace does not count as an Insert: the
-// repository still holds one compiled version for the signature.
-func (r *Repository) Replace(name string, old, repl *Entry) bool {
-	r.mu.Lock()
-	for i, e := range r.funcs[name] {
-		if e == old {
-			atomic.StoreInt64(&repl.hits, old.Hits())
-			r.funcs[name][i] = repl
-			r.stats.Replaces++
-			onChange := r.onChange
-			r.mu.Unlock()
-			notify(onChange)
-			return true
-		}
-	}
-	r.stats.StaleDrops++
-	r.mu.Unlock()
-	return false
 }
 
 // Invalidate drops all entries for a function (source change detected

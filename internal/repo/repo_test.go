@@ -167,44 +167,6 @@ func TestInvalidateAdvancesGenerationWithoutEntries(t *testing.T) {
 	}
 }
 
-// TestReplace: the upgrade path swaps entries, carries hits over, and
-// refuses to resurrect after invalidation.
-func TestReplace(t *testing.T) {
-	r := New()
-	sig := types.Signature{types.ScalarOf(types.IInt, types.RangeTop)}
-	old := &Entry{Sig: sig, Quality: QualityJIT}
-	r.Insert("f", old)
-	r.Lookup("f", types.Signature{intScalar(1)})
-	r.Lookup("f", types.Signature{intScalar(2)})
-
-	repl := &Entry{Sig: sig, Quality: QualityOpt}
-	if !r.Replace("f", old, repl) {
-		t.Fatal("Replace of a live entry must succeed")
-	}
-	got := r.Lookup("f", types.Signature{intScalar(3)})
-	if got != repl || got.Quality != QualityOpt {
-		t.Fatalf("lookup after Replace returned %+v", got)
-	}
-	if got.Hits() != 3 { // 2 carried over + this lookup
-		t.Errorf("hits not carried over: %d", got.Hits())
-	}
-	if st := r.Stats(); st.Inserts != 1 || st.Replaces != 1 {
-		t.Errorf("Replace must count under Replaces, not Inserts: %+v", st)
-	}
-
-	// Invalidation wins over a racing upgrade.
-	r.Invalidate("f")
-	if r.Replace("f", repl, &Entry{Sig: sig, Quality: QualityOpt}) {
-		t.Fatal("Replace after Invalidate must fail")
-	}
-	if e := r.Lookup("f", types.Signature{intScalar(4)}); e != nil {
-		t.Fatal("Replace resurrected an invalidated entry")
-	}
-	if st := r.Stats(); st.Replaces != 1 {
-		t.Errorf("failed Replace must not count: %+v", st)
-	}
-}
-
 // TestConcurrentLookupEntriesHits is the regression test for the latent
 // race where Lookup mutated Entry.Hits under the repository lock while
 // Entries handed out the same pointers to lock-free readers. Run with
@@ -380,7 +342,7 @@ func TestInsertLoadedHonorsCap(t *testing.T) {
 }
 
 // TestOnChangeFiresOutsideLock verifies the snapshot-dirtying callback
-// fires on insert, replace, and invalidate — and that it can reenter
+// fires on insert, insertAt, and invalidate — and that it can reenter
 // read methods, proving it runs outside the repository lock.
 func TestOnChangeFiresOutsideLock(t *testing.T) {
 	r := New()
@@ -399,25 +361,21 @@ func TestOnChangeFiresOutsideLock(t *testing.T) {
 	if fired != 2 {
 		t.Fatalf("insertAt: fired %d", fired)
 	}
-	r.Replace("f", e, &Entry{Sig: e.Sig, Quality: QualityOpt})
-	if fired != 3 {
-		t.Fatalf("replace: fired %d", fired)
-	}
 	r.Invalidate("f")
-	if fired != 4 {
+	if fired != 3 {
 		t.Fatalf("invalidate: fired %d", fired)
 	}
 	// A stale InsertAt publishes nothing — and must not dirty.
 	if r.InsertAt("f", &Entry{Sig: e.Sig, Quality: QualityJIT}, 0) {
 		t.Fatal("stale insert published")
 	}
-	if fired != 4 {
+	if fired != 3 {
 		t.Fatalf("stale insertAt dirtied the snapshot: fired %d", fired)
 	}
 	// Invalidating a function with no entries still notifies: source
 	// changed, so a persisted snapshot of it is stale.
 	r.Invalidate("never-compiled")
-	if fired != 5 {
+	if fired != 4 {
 		t.Fatalf("empty invalidate: fired %d", fired)
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/mat"
 )
 
 // bootPersist starts a shared-repository server persisting to path.
@@ -38,16 +37,7 @@ func replayFig4(t *testing.T, tc *testClient) MetricsSnapshot {
 			call += "("
 		}
 		for i, a := range args {
-			wv := workspaceValue{
-				Name: fmt.Sprintf("arg%d", i+1),
-				Rows: a.Rows(), Cols: a.Cols(), Kind: a.Kind().String(),
-			}
-			if a.Kind() == mat.Char {
-				wv.Text = a.Text()
-			} else {
-				wv.Re = a.Re()
-				wv.Im = a.Im()
-			}
+			wv := WorkspaceValueOf(fmt.Sprintf("arg%d", i+1), a)
 			path := fmt.Sprintf("/sessions/%s/workspace/arg%d", id, i+1)
 			if code, body := tc.do("PUT", path, wv); code != 204 {
 				t.Fatalf("%s: bind arg%d: %d %s", b.Fn, i+1, code, body)
@@ -136,48 +126,5 @@ func TestServerCorruptSnapshotBootsCold(t *testing.T) {
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
-	}
-}
-
-// TestLoadGeneratorWarmArm: with RepoPath set, the load generator adds
-// cold and warm arms, and the warm arm performs zero compiles.
-func TestLoadGeneratorWarmArm(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs four load-generator arms")
-	}
-	path := filepath.Join(t.TempDir(), "repo.bin")
-	rep, err := LoadConfig{
-		Clients:           2,
-		SessionsPerClient: 2,
-		CallsPerSession:   3,
-		Benchmarks:        []string{"fibonacci"},
-		RepoPath:          path,
-	}.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Arms) != 4 {
-		t.Fatalf("arms = %d, want 4 (shared, isolated, cold, warm)", len(rep.Arms))
-	}
-	var cold, warm *LoadArm
-	for i := range rep.Arms {
-		switch rep.Arms[i].Mode {
-		case "cold":
-			cold = &rep.Arms[i]
-		case "warm":
-			warm = &rep.Arms[i]
-		}
-	}
-	if cold == nil || warm == nil {
-		t.Fatalf("cold/warm arms missing: %+v", rep.Arms)
-	}
-	if cold.RepoInsert == 0 {
-		t.Fatalf("cold arm compiled nothing: %+v", cold)
-	}
-	if warm.RepoInsert != 0 || warm.RepoMisses != 0 {
-		t.Fatalf("warm arm compiled/missed (want 0/0): %+v", warm)
-	}
-	if warm.RepoLoaded == 0 {
-		t.Fatalf("warm arm loaded nothing: %+v", warm)
 	}
 }

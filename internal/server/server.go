@@ -372,7 +372,6 @@ func addRepoCounters(dst *repo.Stats, st repo.Stats) {
 	dst.Invalidation += st.Invalidation
 	dst.StaleDrops += st.StaleDrops
 	dst.Evictions += st.Evictions
-	dst.Replaces += st.Replaces
 }
 
 // addProfileCounters folds one engine's tiering counters (not its live
@@ -492,7 +491,7 @@ func (s *Server) handleWorkspaceSet(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown session", Kind: "no_session"})
 		return
 	}
-	var wv workspaceValue
+	var wv WorkspaceValue
 	if err := json.NewDecoder(r.Body).Decode(&wv); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
 		return

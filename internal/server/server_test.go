@@ -113,7 +113,7 @@ func TestSessionLifecycle(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("workspace: %d %s", code, body)
 	}
-	var wv workspaceValue
+	var wv WorkspaceValue
 	if err := json.Unmarshal(body, &wv); err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestSharedRepositoryAcrossSessions(t *testing.T) {
 		t.Fatal("metrics must report shared_repo=true")
 	}
 	code, body := tc.do("GET", "/sessions/"+b+"/workspace/r", nil)
-	var wv workspaceValue
+	var wv WorkspaceValue
 	json.Unmarshal(body, &wv)
 	if code != http.StatusOK || len(wv.Re) != 1 || wv.Re[0] != 27 {
 		t.Fatalf("b result = %+v (%d)", wv, code)
@@ -483,38 +483,5 @@ func TestFlightRecorderEndpoints(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		_, body = tc.do("GET", "/debug/events", nil)
 		json.Unmarshal(body, &ev)
-	}
-}
-
-// TestLoadGeneratorSmoke runs the -exp=server experiment at toy scale:
-// both arms complete, the shared arm compiles no more than the
-// isolated arm, and its hit rate is at least as high.
-func TestLoadGeneratorSmoke(t *testing.T) {
-	rep, err := LoadConfig{
-		Clients:           2,
-		SessionsPerClient: 2,
-		CallsPerSession:   3,
-		Benchmarks:        []string{"fibonacci"},
-	}.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Arms) != 2 {
-		t.Fatalf("arms = %d", len(rep.Arms))
-	}
-	shared, isolated := rep.Arms[0], rep.Arms[1]
-	if shared.Mode != "shared" || isolated.Mode != "isolated" {
-		t.Fatalf("arm order: %+v", rep.Arms)
-	}
-	for _, a := range rep.Arms {
-		if a.Errors != 0 || a.Requests != 2*2*3 {
-			t.Fatalf("%s arm: %+v", a.Mode, a)
-		}
-	}
-	if shared.RepoInsert > isolated.RepoInsert {
-		t.Fatalf("shared compiled more than isolated: %d > %d", shared.RepoInsert, isolated.RepoInsert)
-	}
-	if shared.HitRate < isolated.HitRate {
-		t.Fatalf("shared hit rate %f < isolated %f", shared.HitRate, isolated.HitRate)
 	}
 }

@@ -128,7 +128,7 @@ func (s *session) eval(src string, deadline time.Duration) (output string, timed
 }
 
 // workspaceGet reads a variable from the session workspace.
-func (s *session) workspaceGet(name string) (v *workspaceValue, ok bool) {
+func (s *session) workspaceGet(name string) (v *WorkspaceValue, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed.Load() {
@@ -139,28 +139,13 @@ func (s *session) workspaceGet(name string) (v *workspaceValue, ok bool) {
 	if !ok {
 		return nil, false
 	}
-	wv := &workspaceValue{
-		Name: name,
-		Rows: mv.Rows(),
-		Cols: mv.Cols(),
-		Kind: mv.Kind().String(),
-	}
-	switch {
-	case mv.Kind().IsNumeric():
-		wv.Re = append([]float64(nil), mv.Re()...)
-		if im := mv.Im(); im != nil {
-			wv.Im = append([]float64(nil), im...)
-		}
-	default: // char
-		wv.Text = mv.Text()
-	}
-	return wv, true
+	return WorkspaceValueOf(name, mv), true
 }
 
 // workspaceSet binds a variable in the session workspace from its JSON
-// shape. The load generator uses this to install benchmark arguments
+// shape. The load driver uses this to install benchmark arguments
 // without serializing large matrices into MATLAB source.
-func (s *session) workspaceSet(name string, wv *workspaceValue) error {
+func (s *session) workspaceSet(name string, wv *WorkspaceValue) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed.Load() {
@@ -202,8 +187,8 @@ func (s *session) close() {
 	s.eng.Close()
 }
 
-// workspaceValue is the JSON shape of a workspace variable.
-type workspaceValue struct {
+// WorkspaceValue is the JSON shape of a workspace variable.
+type WorkspaceValue struct {
 	Name string    `json:"name"`
 	Rows int       `json:"rows"`
 	Cols int       `json:"cols"`
@@ -211,4 +196,25 @@ type workspaceValue struct {
 	Re   []float64 `json:"re,omitempty"`
 	Im   []float64 `json:"im,omitempty"`
 	Text string    `json:"text,omitempty"`
+}
+
+// WorkspaceValueOf converts a value to its JSON shape, copying the
+// element data so the result does not alias the value.
+func WorkspaceValueOf(name string, v *mat.Value) *WorkspaceValue {
+	wv := &WorkspaceValue{
+		Name: name,
+		Rows: v.Rows(),
+		Cols: v.Cols(),
+		Kind: v.Kind().String(),
+	}
+	switch {
+	case v.Kind().IsNumeric():
+		wv.Re = append([]float64(nil), v.Re()...)
+		if im := v.Im(); im != nil {
+			wv.Im = append([]float64(nil), im...)
+		}
+	default: // char
+		wv.Text = v.Text()
+	}
+	return wv
 }
